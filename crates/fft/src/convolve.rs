@@ -12,7 +12,7 @@
 //! process-wide plan cache, and keeps every intermediate buffer alive
 //! across calls, so the steady-state per-iteration cost is two
 //! half-size real transforms and **zero heap allocations**
-//! (`tests/telemetry_overhead.rs` pins the allocation count).
+//! (`tests/alloc_steady_state.rs` pins the allocation count).
 
 use crate::complex::Complex;
 use crate::transform::{next_pow2, Fft, RealFft};

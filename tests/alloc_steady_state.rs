@@ -7,22 +7,37 @@
 //! plan comes from the process-wide cache, and the serial pool path
 //! shares one pre-allocated scope state. Allocation counts, unlike
 //! wall-clock time, are exactly reproducible — so this is a hard
-//! regression guard, not a benchmark. The counting allocator is
-//! process-global, hence the dedicated integration-test binary.
+//! regression guard, not a benchmark.
+//!
+//! The count is per thread: `allocations_during` reads only the
+//! calling thread's counter. A process-global count would also take in
+//! what other threads allocate inside the measured window — the libtest
+//! harness thread, and the sibling tests of this binary that run in
+//! parallel — and so fail at random on code that allocates nothing.
+//! Counting per thread loses nothing the guard exists to catch:
+//! `Convolver::conv` is single-threaded, and the solver steps run under
+//! `with_threads(1, ..)`, where the pool spawns no workers and runs
+//! every task inline at its `spawn` call site (DESIGN.md §10), so every
+//! allocation they make lands on the measuring thread.
 
 use lrd::fft::Convolver;
 use lrd::pool::with_threads;
 use lrd::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: touching it from
+    // inside the allocator never allocates and stays valid during
+    // thread teardown. `try_with` keeps the allocator panic-free anyway.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -33,10 +48,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made by the calling thread while `f` runs.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
